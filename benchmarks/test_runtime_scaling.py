@@ -5,9 +5,9 @@ under every shipped :mod:`repro.runtime` and
 
 * hard-asserts that all runtimes produce *equivalent decisions* (the
   CI gate for the distributed-inference claim of Section 3.4),
-* hard-asserts byte-identical ``EngineReport`` payloads between
-  :class:`SerialRuntime` and :class:`ParallelRuntime` on the trained
-  ReVerb45K-shaped fixture,
+* hard-asserts byte-identical ``EngineReport`` payloads from
+  :class:`PartitionedRuntime` and :class:`IncrementalRuntime` against
+  :class:`SerialRuntime` on the trained ReVerb45K-shaped fixture,
 * records the perf trajectory into ``benchmarks/BENCH_runtime.json``
   (machine-readable, tracked across PRs) alongside the human-readable
   ``results.txt``.
@@ -23,7 +23,7 @@ from repro.core import JOCLConfig
 from repro.core.inference import decode
 from repro.core.model import JOCL
 from repro.datasets import ShardedOKBConfig, generate_sharded_reverb45k
-from repro.runtime import ParallelRuntime, PartitionedRuntime, SerialRuntime
+from repro.runtime import IncrementalRuntime, PartitionedRuntime, SerialRuntime
 
 BENCH_JSON_PATH = Path(__file__).parent / "BENCH_runtime.json"
 
@@ -33,12 +33,7 @@ SIZES = ((100, 4), (200, 6), (400, 8))
 #: Best-of-N wall times to shave scheduler noise.
 REPEATS = 3
 
-RUNTIMES = (
-    SerialRuntime(),
-    PartitionedRuntime(),
-    ParallelRuntime(max_workers=2),
-    ParallelRuntime(max_workers=4),
-)
+RUNTIMES = (SerialRuntime(), PartitionedRuntime())
 
 
 def _workload(n_triples: int, n_shards: int):
@@ -56,16 +51,6 @@ def _workload(n_triples: int, n_shards: int):
     )
     side = dataset.side_information("all")
     return dataset, side
-
-
-def _row(runtime) -> dict:
-    workers = getattr(runtime, "max_workers", 1)
-    backend = getattr(runtime, "backend", None)
-    label = runtime.name
-    if runtime.name == "parallel":
-        label = f"parallel-w{workers}"
-    return {"runtime": runtime.name, "label": label, "workers": workers,
-            "backend": backend}
 
 
 def test_runtime_scaling_and_equivalence(benchmark):
@@ -118,18 +103,17 @@ def test_runtime_scaling_and_equivalence(benchmark):
                         f"{runtime.name} decisions diverge from serial at "
                         f"{nominal} triples"
                     )
-                row = _row(runtime)
-                row.update(
-                    backend=outcome.profile.backend,  # effective, not configured
-                    wall_time_s=round(wall, 6),
-                    speedup_vs_serial=round(serial_wall / wall, 3),
-                    n_components=outcome.profile.n_components,
-                    iterations=outcome.profile.iterations,
-                    converged=outcome.profile.converged,
-                )
+                row = {
+                    "runtime": runtime.name,
+                    "wall_time_s": round(wall, 6),
+                    "speedup_vs_serial": round(serial_wall / wall, 3),
+                    "n_components": outcome.profile.n_components,
+                    "iterations": outcome.profile.iterations,
+                    "converged": outcome.profile.converged,
+                }
                 entry["runs"].append(row)
                 lines.append(
-                    f"  {nominal:>4} triples  {row['label']:<12} "
+                    f"  {nominal:>4} triples  {runtime.name:<12} "
                     f"{wall * 1e3:7.1f} ms  x{row['speedup_vs_serial']:.2f}  "
                     f"({row['n_components']} components)"
                 )
@@ -145,11 +129,9 @@ def test_runtime_scaling_and_equivalence(benchmark):
     largest = payload["sizes"][-1]
     serial_wall = largest["runs"][0]["wall_time_s"]
     partitioned_wall = largest["runs"][1]["wall_time_s"]
-    parallel_best = min(run["wall_time_s"] for run in largest["runs"][2:])
     # Partitioned execution does strictly less message passing than the
-    # whole-graph run (per-component early stopping), and the parallel
-    # runtime must preserve that win at >= 2 workers.  The decision
-    # equivalence above is the hard CI gate; these bounds only catch a
+    # whole-graph run (per-component early stopping).  The decision
+    # equivalence above is the hard CI gate; this bound only catches a
     # catastrophic runtime-overhead regression while tolerating the
     # wall-clock jitter of shared CI runners (the committed
     # BENCH_runtime.json records the actual speedups).
@@ -158,16 +140,12 @@ def test_runtime_scaling_and_equivalence(benchmark):
         f"{largest['n_triples']} triples: {partitioned_wall:.3f}s vs "
         f"{serial_wall:.3f}s"
     )
-    assert parallel_best < serial_wall * 1.25, (
-        f"parallel LBP (>=2 workers) grossly slower than whole-graph LBP "
-        f"at {largest['n_triples']} triples: {parallel_best:.3f}s vs "
-        f"{serial_wall:.3f}s"
-    )
 
 
-def test_parallel_report_byte_identical_on_reverb(reverb_side, trained_weights):
-    """Acceptance: ParallelRuntime emits byte-identical EngineReport
-    payloads to SerialRuntime on the trained ReVerb45K-shaped fixture."""
+def test_reports_byte_identical_on_reverb(reverb_side, trained_weights):
+    """Acceptance: PartitionedRuntime and IncrementalRuntime emit
+    byte-identical EngineReport payloads to SerialRuntime on the
+    trained ReVerb45K-shaped fixture."""
     from repro.api import JOCLEngine
 
     def _report(runtime):
@@ -181,13 +159,14 @@ def test_parallel_report_byte_identical_on_reverb(reverb_side, trained_weights):
             .run_joint()
         )
 
-    serial = _report(SerialRuntime())
-    parallel = _report(ParallelRuntime(max_workers=4))
-    serial_bytes = json.dumps(serial.to_dict(), sort_keys=True)
-    parallel_bytes = json.dumps(parallel.to_dict(), sort_keys=True)
-    assert serial_bytes == parallel_bytes
+    serial_bytes = json.dumps(_report(SerialRuntime()).to_dict(), sort_keys=True)
+    for runtime in (PartitionedRuntime(), IncrementalRuntime()):
+        runtime_bytes = json.dumps(_report(runtime).to_dict(), sort_keys=True)
+        assert runtime_bytes == serial_bytes, (
+            f"{runtime.name} report diverges from SerialRuntime"
+        )
     record_result(
-        "Runtime equivalence — ParallelRuntime(4) vs SerialRuntime on "
-        f"ReVerb45K fixture: byte-identical reports "
-        f"({len(parallel_bytes)} bytes)"
+        "Runtime equivalence — PartitionedRuntime and IncrementalRuntime vs "
+        f"SerialRuntime on ReVerb45K fixture: byte-identical reports "
+        f"({len(serial_bytes)} bytes)"
     )

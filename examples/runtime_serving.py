@@ -8,7 +8,9 @@ shape), then runs the same engine workload under every shipped
 * ``SerialRuntime``      — whole-graph LBP (the default);
 * ``PartitionedRuntime`` — per-component LBP: each connected component
   stops at its own convergence, so total work shrinks;
-* ``ParallelRuntime``    — the partitioned plan on a worker pool.
+* ``IncrementalRuntime`` — the partitioned plan that keeps converged
+  components across calls, so after an ``ingest`` only the components
+  it touched re-run LBP.
 
 All three are decision-for-decision equivalent — the reports compare
 equal — while the :class:`repro.api.ExecutionProfile` shows how
@@ -22,7 +24,7 @@ Run:  python examples/runtime_serving.py
 from repro.api import JOCLEngine
 from repro.core import JOCLConfig
 from repro.datasets import ShardedOKBConfig, generate_sharded_reverb45k
-from repro.runtime import ParallelRuntime, PartitionedRuntime, SerialRuntime
+from repro.runtime import IncrementalRuntime, PartitionedRuntime, SerialRuntime
 
 
 def main() -> None:
@@ -37,7 +39,7 @@ def main() -> None:
     for runtime in (
         SerialRuntime(),
         PartitionedRuntime(),
-        ParallelRuntime(max_workers=4),
+        IncrementalRuntime(),
     ):
         engine = (
             JOCLEngine.builder()
@@ -51,13 +53,13 @@ def main() -> None:
         profile = report.profile
         print(
             f"\n{runtime.name:>12}: {profile.n_components} component(s), "
-            f"workers={profile.max_workers}, wall={profile.wall_time_s * 1e3:.1f} ms"
+            f"wall={profile.wall_time_s * 1e3:.1f} ms"
         )
         print(f"{'':>12}  component sizes: {list(profile.component_sizes)[:8]}")
         print(f"{'':>12}  component iters: {list(profile.component_iterations)[:8]}")
 
     identical = (
-        reports["serial"] == reports["partitioned"] == reports["parallel"]
+        reports["serial"] == reports["partitioned"] == reports["incremental"]
     )
     print(f"\nall runtimes produced identical reports: {identical}")
 
@@ -67,7 +69,7 @@ def main() -> None:
         JOCLEngine.builder()
         .with_side_information(side)
         .with_config(config)
-        .with_runtime(ParallelRuntime(max_workers=4))
+        .with_runtime(PartitionedRuntime())
         .build()
     )
     mentions = [triple.subject for triple in dataset.test_triples[:8]]

@@ -9,7 +9,7 @@ Wang, Wang, Yang, Yuan).  It contains:
   ingest, serving-time ``resolve``/``resolve_many`` and
   JSON-serializable results,
 * pluggable execution runtimes (:mod:`repro.runtime`) — serial,
-  partitioned and pool-parallel LBP behind one plan/execute/merge
+  partitioned and incremental LBP behind one plan/execute/merge
   contract, selected per engine via ``with_runtime(...)``,
 * durable checkpoints (:mod:`repro.persist`) — schema-versioned
   :class:`EngineState` snapshots in file-directory or SQLite
@@ -32,13 +32,12 @@ Wang, Wang, Yang, Yuan).  It contains:
   (:mod:`repro.baselines`),
 * synthetic dataset generators shaped like ReVerb45K and NYTimes2018
   (:mod:`repro.datasets`), and
-* the legacy experiment pipeline (:mod:`repro.pipeline`), now a thin
-  adapter over the engine, used by the benchmark harness to regenerate
-  every table and figure of the paper.
+* the experiment helpers (:mod:`repro.pipeline`) that score systems
+  and format the paper's tables for the benchmark harness.
 
 Quickstart::
 
-    from repro import JOCLConfig, JOCLEngine, ParallelRuntime
+    from repro import JOCLConfig, JOCLEngine, PartitionedRuntime
     from repro.datasets import ReVerb45KConfig, generate_reverb45k
 
     dataset = generate_reverb45k(ReVerb45KConfig(n_entities=32, seed=7))
@@ -49,7 +48,7 @@ Quickstart::
         .with_ppdb(dataset.ppdb)
         .with_config(JOCLConfig(lbp_iterations=10))
         .with_triples(dataset.test_triples)
-        .with_runtime(ParallelRuntime(max_workers=4))  # partitioned LBP
+        .with_runtime(PartitionedRuntime())  # per-component LBP
         .build()
     )
     report = engine.run_joint()
@@ -101,11 +100,9 @@ from repro.persist import (
     SQLiteStateStore,
     StateStore,
 )
-from repro.pipeline import JOCLPipeline, PipelineResult
 from repro.runtime import (
     IncrementalRuntime,
     InferenceRuntime,
-    ParallelRuntime,
     PartitionedRuntime,
     SerialRuntime,
 )
@@ -132,13 +129,10 @@ __all__ = [
     "JOCLClusterService",
     "JOCLEngine",
     "JOCLOutput",
-    "JOCLPipeline",
     "JOCLService",
     "LinkingResult",
     "NYTimes2018Config",
-    "ParallelRuntime",
     "PartitionedRuntime",
-    "PipelineResult",
     "ReVerb45KConfig",
     "ResolveResult",
     "SQLiteStateStore",

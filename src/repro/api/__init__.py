@@ -16,8 +16,6 @@ framework internals (:mod:`repro.core`) behind a long-lived
   (:meth:`JOCLEngine.fit` / :meth:`JOCLEngine.export_weights`),
 
 plus the dedicated exception hierarchy of :mod:`repro.api.errors`.
-The legacy :class:`repro.pipeline.JOCLPipeline` remains as a thin
-benchmark-oriented adapter over the engine.
 """
 
 from repro.api import errors

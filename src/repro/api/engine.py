@@ -1,8 +1,7 @@
 """The :class:`JOCLEngine`: a long-lived, service-grade JOCL instance.
 
 Where :class:`repro.core.model.JOCL` is a stateless facade over one
-factor-graph build and :class:`repro.pipeline.JOCLPipeline` is bound to
-a benchmark dataset, the engine is the deployment surface: it *owns*
+factor-graph build, the engine is the deployment surface: it *owns*
 the curated KB, the configuration, the learned template weights and all
 cached side information across calls, and exposes
 
@@ -181,9 +180,8 @@ class EngineBuilder:
         """Select how inference executes (see :mod:`repro.runtime`).
 
         Defaults to :class:`~repro.runtime.SerialRuntime` (whole-graph
-        LBP); pass :class:`~repro.runtime.PartitionedRuntime` or
-        :class:`~repro.runtime.ParallelRuntime` to exploit the factor
-        graph's connected components, or
+        LBP); pass :class:`~repro.runtime.PartitionedRuntime` to exploit
+        the factor graph's connected components, or
         :class:`~repro.runtime.IncrementalRuntime` (stateful — one
         engine per instance) to additionally reuse converged components
         across :meth:`JOCLEngine.ingest` cycles.  All shipped runtimes

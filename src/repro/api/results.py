@@ -247,7 +247,7 @@ class ExecutionProfile:
 
     TYPE = "execution_profile"
 
-    #: Runtime identifier ("serial", "partitioned", "parallel", ...).
+    #: Runtime identifier ("serial", "partitioned", "incremental", ...).
     runtime: str
     #: Number of independent work units the plan produced.
     n_components: int = 1
@@ -261,15 +261,6 @@ class ExecutionProfile:
     converged: bool = False
     #: Wall-clock seconds for plan + execute.
     wall_time_s: float = 0.0
-    #: Worker-pool size the runtime was configured with.
-    max_workers: int = 1
-    #: Pool backend the runtime fans out on ("thread" / "process";
-    #: ``None`` for in-thread runtimes).  Degradation is reflected once
-    #: a pool has actually been started (a ParallelRuntime configured
-    #: for processes on a host that cannot spawn them reports "thread");
-    #: single-unit plans execute inline whatever this says — check
-    #: ``n_components`` for that.
-    backend: str | None = None
     #: Components spliced from a previous run's converged state without
     #: re-running LBP (always 0 for the stateless runtimes; > 0 is the
     #: observable win of :class:`repro.runtime.IncrementalRuntime`).
@@ -290,8 +281,6 @@ class ExecutionProfile:
             iterations=self.iterations,
             converged=self.converged,
             wall_time_s=self.wall_time_s,
-            max_workers=self.max_workers,
-            backend=self.backend,
             reused_components=self.reused_components,
             recomputed_components=self.recomputed_components,
         )
@@ -299,6 +288,8 @@ class ExecutionProfile:
 
     @classmethod
     def from_dict(cls, payload: object) -> ExecutionProfile:
+        # 1.x payloads also carry "max_workers" and "backend", which
+        # described the removed thread-pool runtime; they are ignored.
         payload = check_envelope(payload, cls.TYPE)
         with _parsing(cls.TYPE):
             return cls(
@@ -313,12 +304,6 @@ class ExecutionProfile:
                 iterations=int(payload.get("iterations", 0)),
                 converged=bool(payload.get("converged", False)),
                 wall_time_s=float(payload.get("wall_time_s", 0.0)),
-                max_workers=int(payload.get("max_workers", 1)),
-                backend=(
-                    str(payload["backend"])
-                    if payload.get("backend") is not None
-                    else None
-                ),
                 reused_components=int(payload.get("reused_components", 0)),
                 # Payloads written before the incremental runtime carry
                 # no split; back-fill "everything was recomputed".

@@ -211,7 +211,7 @@ class ClusterBuilder:
         (:class:`~repro.runtime.IncrementalRuntime`) are one-per-engine,
         so every shard must get its own.  Example:
         ``.with_runtime_factory(IncrementalRuntime)`` or
-        ``.with_runtime_factory(lambda: ParallelRuntime(max_workers=2))``.
+        ``.with_runtime_factory(lambda: IncrementalRuntime(warm_start=True))``.
         """
         self._runtime_factory = runtime_factory
         return self

@@ -1,11 +1,8 @@
-"""End-to-end experiment pipeline (legacy adapter).
+"""Experiment helpers for the benchmark harness.
 
-* :class:`JOCLPipeline` — dataset in, trained-and-decoded
-  :class:`~repro.core.inference.JOCLOutput` plus metrics out; now a
-  thin back-compat adapter over :class:`repro.api.JOCLEngine`, which is
-  the supported public surface for new code.
-* :mod:`~repro.pipeline.experiment` — helpers that run whole
-  baseline+JOCL comparisons and format them as the paper's tables.
+:mod:`~repro.pipeline.experiment` runs whole baseline line-ups, scores
+clusterings and links, and formats the rows as the paper's tables.
+JOCL itself runs through :class:`repro.api.JOCLEngine`.
 """
 
 from repro.pipeline.experiment import (
@@ -15,13 +12,10 @@ from repro.pipeline.experiment import (
     run_canonicalization_systems,
     run_linking_systems,
 )
-from repro.pipeline.jocl_pipeline import JOCLPipeline, PipelineResult
 
 __all__ = [
     "CanonicalizationRow",
-    "JOCLPipeline",
     "LinkingRow",
-    "PipelineResult",
     "format_table",
     "run_canonicalization_systems",
     "run_linking_systems",

@@ -17,9 +17,6 @@ Shipped runtimes:
   segmentation primitive of :mod:`repro.factorgraph.partition`),
   decision-for-decision equivalent to whole-graph LBP and usually
   faster: each component stops at its own convergence;
-* :class:`ParallelRuntime` — the partitioned plan on a
-  ``concurrent.futures`` pool (thread or process backend) with a
-  worker-count knob and a deterministic merge order;
 * :class:`IncrementalRuntime` — the partitioned plan with cross-call
   state: components untouched since the previous run are spliced from
   the cached converged result (with a structural identity check as the
@@ -28,6 +25,12 @@ Shipped runtimes:
   seeded from the previous messages via ``warm_start=True``.  Stateful
   — one engine per instance; the natural pairing for
   :meth:`repro.api.JOCLEngine.ingest`.
+
+All three run LBP in the calling thread: pure-Python LBP holds the GIL,
+so fanning components out over a thread pool measured no faster than
+the partitioned plan run in sequence.  The package's one worker pool,
+:func:`scatter`, fans whole shards out for
+:class:`repro.cluster.ShardedEngine`.
 
 Select one per engine via
 ``JOCLEngine.builder().with_runtime(IncrementalRuntime())``,
@@ -43,7 +46,6 @@ from repro.runtime.base import (
     run_component,
 )
 from repro.runtime.incremental import IncrementalRuntime
-from repro.runtime.parallel import ParallelRuntime
 from repro.runtime.partitioned import PartitionedRuntime
 from repro.runtime.pool import scatter
 from repro.runtime.serial import SerialRuntime
@@ -53,7 +55,6 @@ from repro.runtime.serial import SerialRuntime
 _RUNTIME_TYPES: dict[str, type[InferenceRuntime]] = {
     SerialRuntime.name: SerialRuntime,
     PartitionedRuntime.name: PartitionedRuntime,
-    ParallelRuntime.name: ParallelRuntime,
     IncrementalRuntime.name: IncrementalRuntime,
 }
 
@@ -62,17 +63,19 @@ def runtime_from_state(payload: dict) -> InferenceRuntime:
     """Reconstruct a runtime from an :meth:`InferenceRuntime.to_state`
     payload, dispatching on its ``"type"`` discriminator.
 
-    Raises :class:`ValueError` for unknown types (e.g. a third-party
-    runtime whose class is not importable here); checkpoint callers let
-    users override the runtime explicitly in that case.
+    Raises :class:`ValueError` for unknown types (a third-party runtime
+    whose class is not importable here, or a runtime type this version
+    no longer ships); :meth:`repro.api.JOCLEngine.load` lets callers
+    override the runtime explicitly in that case.
     """
     runtime_type = payload.get("type")
     runtime_cls = _RUNTIME_TYPES.get(runtime_type)
     if runtime_cls is None:
         raise ValueError(
             f"unknown runtime type {runtime_type!r}; expected one of "
-            f"{sorted(_RUNTIME_TYPES)} (pass an explicit runtime to "
-            f"restore a checkpoint saved with a custom runtime)"
+            f"{sorted(_RUNTIME_TYPES)}; restore the checkpoint with an "
+            f"explicit runtime= override, e.g. "
+            f"JOCLEngine.load(store, runtime=PartitionedRuntime())"
         )
     return runtime_cls.from_state(payload)
 
@@ -83,7 +86,6 @@ __all__ = [
     "InferencePlan",
     "InferenceRuntime",
     "InferenceTask",
-    "ParallelRuntime",
     "PartitionedRuntime",
     "RuntimeResult",
     "SerialRuntime",

@@ -5,15 +5,16 @@ settings + optional evidence) into one merged
 :class:`~repro.factorgraph.lbp.LBPResult` plus an
 :class:`~repro.api.results.ExecutionProfile` describing how the work
 was executed (how many components, iterations per component, wall
-time, workers).  The three phases are separately overridable:
+time, reused vs recomputed units).  The three phases are separately
+overridable:
 
 ``plan``
     Decompose the task into independent :class:`ComponentPlan` units
     (the whole graph for :class:`~repro.runtime.serial.SerialRuntime`,
     connected components for the partitioned runtimes).
 ``execute``
-    Run LBP for every unit, returning results in plan order — however
-    the work was scheduled underneath.
+    Run LBP for every unit in the calling thread, returning results in
+    plan order.
 ``merge``
     Deterministically recombine the per-unit results
     (:func:`repro.factorgraph.lbp.merge_results`) and build the profile.
@@ -105,13 +106,12 @@ def run_component(
     warm_start: LBPMessages | None = None,
     keep_messages: bool = False,
 ) -> LBPResult:
-    """Run LBP over one plan unit (the shared worker body).
+    """Run LBP over one plan unit (the body of :meth:`InferenceRuntime.execute`).
 
     Evidence is filtered down to the unit's own variables, and the
-    result's graph back-reference is dropped so the payload stays small
-    when it crosses a process boundary; :func:`merge_results` restores
-    the whole-graph reference on the merged result.  ``warm_start`` and
-    ``keep_messages`` pass straight through to :meth:`LoopyBP.run`.
+    result's graph back-reference is dropped: :func:`merge_results`
+    sets the whole-graph reference on the merged result.  ``warm_start``
+    and ``keep_messages`` pass straight through to :meth:`LoopyBP.run`.
     """
     local_evidence = None
     if evidence:
@@ -132,23 +132,10 @@ class InferenceRuntime(ABC):
     #: Stable identifier recorded in :class:`ExecutionProfile.runtime`.
     name = "abstract"
 
-    #: Whether executors should retain converged message state on their
-    #: results.  Off by default (messages are pure warm-start fuel);
-    #: state-carrying runtimes like IncrementalRuntime enable it.
+    #: Whether :meth:`execute` should retain converged message state on
+    #: its results.  Off by default (messages are pure warm-start fuel);
+    #: ``IncrementalRuntime(warm_start=True)`` turns it on.
     keep_messages = False
-
-    #: Worker count recorded in the profile (1 unless the runtime
-    #: actually fans out).
-    @property
-    def max_workers(self) -> int:
-        return 1
-
-    #: Pool backend recorded in the profile (None for in-thread
-    #: runtimes; pool-backed runtimes report the backend they actually
-    #: execute on, including any degradation).
-    @property
-    def effective_backend(self) -> str | None:
-        return None
 
     @abstractmethod
     def plan(self, task: InferenceTask) -> InferencePlan:
@@ -169,8 +156,7 @@ class InferenceRuntime(ABC):
         """Run every unit; results must come back in plan order.
 
         Units carrying a ``reused`` result are spliced without running
-        LBP.  The default runs the rest sequentially in the calling
-        thread; pool-backed runtimes override this.
+        LBP; the rest run sequentially in the calling thread.
         """
         task = plan.task
         return [
@@ -203,8 +189,6 @@ class InferenceRuntime(ABC):
             iterations=merged.iterations,
             converged=merged.converged,
             wall_time_s=wall_time_s,
-            max_workers=self.max_workers,
-            backend=self.effective_backend,
             reused_components=reused,
             recomputed_components=len(plan.components) - reused,
         )

@@ -40,9 +40,10 @@ differently.  Use it when throughput matters more than bit-stability;
 the default keeps the decision-equivalence guarantee unconditional.
 
 Unlike the stateless runtimes, an ``IncrementalRuntime`` instance owns
-per-engine mutable state (the previous run's components, results and
-messages) — give each engine its own instance and do not share one
-across engines or threads.
+per-engine mutable state (the previous run's components and results,
+plus their converged messages when ``warm_start=True`` — the only
+reader of them) — give each engine its own instance and do not share
+one across engines or threads.
 
 The reused-vs-recomputed split of every run is reported in
 :class:`~repro.api.results.ExecutionProfile` (``reused_components`` /
@@ -177,10 +178,11 @@ class IncrementalRuntime(PartitionedRuntime):
     """
 
     name = "incremental"
-    keep_messages = True
 
     def __init__(self, warm_start: bool = False) -> None:
         self._warm = warm_start
+        # Converged messages are read only by a warm start.
+        self.keep_messages = warm_start
         self._state: _RunState | None = None
         self._pending_dirty: dict[str, set[str]] | None = None
 
@@ -220,8 +222,9 @@ class IncrementalRuntime(PartitionedRuntime):
         """JSON-safe snapshot: knobs, pending dirty marks, run state.
 
         The run state serializes each cached component's subgraph
-        (feature tables and all), converged result and message tables —
-        exactly what :meth:`warm_start` consults — so an engine restored
+        (feature tables and all) and converged result, with its message
+        tables when ``warm_start=True`` — exactly what :meth:`warm_start`
+        consults — so an engine restored
         from a checkpoint splices clean components on its very first
         post-restore inference instead of recomputing the world.
         Payloads round-trip exactly; the structural reuse check compares
@@ -273,6 +276,10 @@ class IncrementalRuntime(PartitionedRuntime):
         for entry in run_state["components"]:
             graph = graph_from_state(entry["graph"])
             result = result_from_state(entry["result"])
+            if not runtime._warm:
+                # 1.x checkpoints carry messages for every incremental
+                # runtime; a cold one never reads them.
+                result.messages = None
             components[frozenset(graph.variables)] = _CachedComponent(
                 graph=graph, result=result
             )

@@ -8,10 +8,9 @@ instead of iterating until the slowest component converges, so the
 total number of factor updates is never larger than the whole-graph
 run and usually substantially smaller on multi-component OKBs.
 
-The per-component plan is also the substrate two subclasses build on:
-:class:`~repro.runtime.parallel.ParallelRuntime` executes it on a
-worker pool, and :class:`~repro.runtime.incremental.IncrementalRuntime`
-carries converged component results *across* runs, re-running only the
+The per-component plan is also the substrate of
+:class:`~repro.runtime.incremental.IncrementalRuntime`, which carries
+converged component results *across* runs, re-running only the
 components an ingest dirtied.
 """
 

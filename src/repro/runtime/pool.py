@@ -1,17 +1,13 @@
-"""Shared fan-out helper over ``concurrent.futures`` thread pools.
+"""The package's one fan-out helper over a ``concurrent.futures`` pool.
 
-:class:`~repro.runtime.parallel.ParallelRuntime` fans factor-graph
-components out over an executor; :class:`repro.cluster.ShardedEngine`
-fans *whole shards* out (per-shard ingest, per-shard joint inference).
-Both want the same discipline — results in submission order whatever
-the completion order was, no pool overhead for degenerate workloads —
-so it lives here once.
+:class:`repro.cluster.ShardedEngine` fans *whole shards* out through
+:func:`scatter` (per-shard ingest, per-shard joint inference, per-shard
+resolve).  The discipline lives here once: results in submission order
+whatever the completion order was, no pool overhead for degenerate
+workloads.
 
-Thread pools only: the payloads (engines, factor graphs) are shared
-in-process state that would be pointless to pickle.  CPU-bound stages
-still overlap because the numeric kernels release the GIL; see the
-``backend="process"`` escape hatch on ``ParallelRuntime`` for the
-fully CPU-bound single-graph case.
+Thread pools only: the payloads (engines) are shared in-process state
+that would be pointless to pickle.
 
 Lifecycle: every pool is scoped to one :func:`scatter` call.  The
 ``with`` block shuts the executor down on every exit path; on the first

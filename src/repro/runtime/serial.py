@@ -2,7 +2,7 @@
 
 Exactly the historical ``LoopyBP(graph).run()`` behavior, expressed
 through the plan/execute/merge contract so the profile (components,
-iterations, wall time) is reported the same way as for the parallel
+iterations, wall time) is reported the same way as for the partitioned
 runtimes.
 """
 

@@ -468,6 +468,45 @@ class TestEmptyShards:
 
 
 # ----------------------------------------------------------------------
+# The shard fan-out pool
+# ----------------------------------------------------------------------
+class TestShardFanOut:
+    def test_with_max_workers_rejects_bad_counts(self):
+        for bad in (0, -2):
+            with pytest.raises(EngineBuildError, match="max_workers"):
+                ShardedEngine.builder().with_max_workers(bad)
+
+    def test_shard_failure_shuts_pool_down_and_recovers(
+        self, workload, cluster_and_report, monkeypatch
+    ):
+        _cluster_engine, expected = cluster_and_report
+        cluster = _cluster(workload)
+        failing = cluster.shards[1]
+
+        def injected_failure():
+            raise RuntimeError("injected shard failure")
+
+        baseline = {thread.ident for thread in threading.enumerate()}
+        monkeypatch.setattr(failing, "run_joint", injected_failure)
+        with pytest.raises(RuntimeError, match="injected shard failure"):
+            cluster.run_joint()
+        leaked = [
+            thread
+            for thread in threading.enumerate()
+            if thread.ident not in baseline and thread.is_alive()
+        ]
+        assert leaked == []
+
+        # Pools are per call, so a failed fan-out does not poison the
+        # next one.
+        monkeypatch.undo()
+        report = cluster.run_joint()
+        assert _decisions(report.canonicalization, report.linking) == _decisions(
+            expected.canonicalization, expected.linking
+        )
+
+
+# ----------------------------------------------------------------------
 # Result dataclasses
 # ----------------------------------------------------------------------
 class TestClusterResults:

@@ -32,7 +32,7 @@ from repro.persist import (
 )
 from repro.runtime import (
     IncrementalRuntime,
-    ParallelRuntime,
+    PartitionedRuntime,
     runtime_from_state,
 )
 
@@ -493,15 +493,31 @@ class TestSaveRefusals:
 
 
 class TestRuntimePayloads:
-    def test_parallel_runtime_knobs_round_trip(self, tmp_path, workload):
+    @pytest.fixture()
+    def parallel_checkpoint(self, tmp_path, workload):
+        """A checkpoint whose runtime section is the 1.x thread-pool
+        runtime's payload, plus the saving engine's decisions."""
         store = FileStateStore(tmp_path / "ckpt")
-        engine = workload.engine(FAST, ParallelRuntime(max_workers=2))
-        engine.run_joint()
-        engine.save(store)
-        restored = JOCLEngine.load(store)
-        assert isinstance(restored.runtime, ParallelRuntime)
-        assert restored.runtime.max_workers == 2
-        assert restored.runtime.backend == "thread"
+        engine = workload.engine(FAST, PartitionedRuntime())
+        saved = decisions(engine.run_joint())
+        name = engine.save(store)
+        (tmp_path / "ckpt" / name / "runtime.json").write_text(
+            json.dumps({"type": "parallel", "max_workers": 2, "backend": "thread"})
+        )
+        return store, saved
+
+    def test_parallel_runtime_checkpoint_needs_override(self, parallel_checkpoint):
+        store, _saved = parallel_checkpoint
+        with pytest.raises(CheckpointError, match="'parallel'.*runtime="):
+            JOCLEngine.load(store)
+
+    def test_parallel_runtime_checkpoint_restores_with_override(
+        self, parallel_checkpoint
+    ):
+        store, saved = parallel_checkpoint
+        restored = JOCLEngine.load(store, runtime=PartitionedRuntime())
+        assert restored.runtime.name == "partitioned"
+        assert decisions(restored.run_joint()) == saved
 
     def test_unknown_runtime_type_needs_override(self, tmp_path, warm_engine):
         store = FileStateStore(tmp_path / "ckpt")

@@ -1,10 +1,14 @@
-"""Tests for the end-to-end pipeline and the experiment harness."""
+"""Tests for the experiment harness and the paper's protocol on the engine."""
+
+import contextlib
 
 import pytest
 
+from repro.api import EngineStateError, TrainingError
 from repro.baselines import MorphNormBaseline, SpotlightBaseline
 from repro.core.config import JOCLConfig
 from repro.core.variants import jocl_cano_config, jocl_link_config
+from repro.metrics.linking import linking_accuracy
 from repro.pipeline.experiment import (
     CanonicalizationRow,
     LinkingRow,
@@ -13,7 +17,6 @@ from repro.pipeline.experiment import (
     run_linking_systems,
     score_clustering,
 )
-from repro.pipeline.jocl_pipeline import JOCLPipeline
 
 
 @pytest.fixture(scope="module")
@@ -21,33 +24,70 @@ def fast_config():
     return JOCLConfig(lbp_iterations=10, learn_iterations=2)
 
 
-class TestJOCLPipeline:
-    def test_run_trains_and_evaluates(self, small_dataset, fast_config):
-        pipeline = JOCLPipeline.from_dataset(small_dataset, fast_config)
-        result = pipeline.run()
-        assert result.trained
-        assert 0.0 <= result.np_report.average_f1 <= 1.0
-        assert 0.0 <= result.entity_accuracy <= 1.0
-        summary = result.summary()
-        assert set(summary) == {
-            "np_average_f1",
-            "rp_average_f1",
-            "entity_accuracy",
-            "relation_accuracy",
-        }
+def _run_jocl(dataset, config):
+    """The paper's protocol (Section 4.1) on the engine: learn on the
+    validation split, infer on the test split, score against the gold.
+
+    Returns ``(np row, entity row, trained)``.  A single-task variant's
+    graph may carry no mappable gold label; it then infers untrained,
+    as in the Table 4 benchmark.
+    """
+    engine = dataset.engine("test", config=config)
+    with contextlib.suppress(TrainingError):
+        engine.fit(
+            dataset.validation_triples,
+            side=dataset.side_information(
+                "validation", max_candidates=config.max_candidates
+            ),
+        )
+    output = engine.run_joint().as_output()
+    gold = dataset.gold
+    return (
+        score_clustering("JOCL", output.np_clusters, gold.np_clusters),
+        LinkingRow("JOCL", linking_accuracy(output.entity_links, gold.entity_links)),
+        engine.trained,
+    )
+
+
+@pytest.fixture(scope="module")
+def full_run(small_dataset, fast_config):
+    return _run_jocl(small_dataset, fast_config)
+
+
+class TestEngineProtocol:
+    def test_run_trains_and_scores_every_task(self, small_dataset, fast_config):
+        """All four paper metrics come out of one trained engine run."""
+        engine = small_dataset.engine("test", config=fast_config)
+        engine.fit(
+            small_dataset.validation_triples,
+            side=small_dataset.side_information(
+                "validation", max_candidates=fast_config.max_candidates
+            ),
+        )
+        assert engine.trained
+        output = engine.run_joint().as_output()
+        gold = small_dataset.gold
+        np_row = score_clustering("JOCL", output.np_clusters, gold.np_clusters)
+        rp_row = score_clustering("JOCL", output.rp_clusters, gold.rp_clusters)
+        assert 0.0 <= np_row.average_f1 <= 1.0
+        assert 0.0 <= rp_row.average_f1 <= 1.0
+        assert 0.0 <= linking_accuracy(output.entity_links, gold.entity_links) <= 1.0
+        assert (
+            0.0
+            <= linking_accuracy(output.relation_links, gold.relation_links)
+            <= 1.0
+        )
 
     def test_run_without_training(self, small_dataset, fast_config):
-        pipeline = JOCLPipeline.from_dataset(small_dataset, fast_config, train=False)
-        result = pipeline.run()
-        assert not result.trained
+        """An unfitted engine still decodes every mention of the split."""
+        engine = small_dataset.engine("test", config=fast_config)
+        output = engine.run_joint().as_output()
+        assert not engine.trained
+        subjects = {triple.subject for triple in small_dataset.test_triples}
+        assert subjects <= set(output.entity_links)
 
-    def test_pipeline_beats_trivial_floor(self, small_dataset, fast_config):
-        result = JOCLPipeline.from_dataset(small_dataset, fast_config).run()
-        assert result.np_report.average_f1 > 0.5
-        assert result.entity_accuracy > 0.5
-
-    def test_empty_test_split_returns_empty_result(self, small_dataset, fast_config):
-        """Historical behavior: an empty split decodes to empty output."""
+    def test_empty_test_split_refuses_inference(self, small_dataset, fast_config):
+        """An empty split fails loudly instead of decoding to nothing."""
         from repro.datasets.base import Dataset, EvaluationGold
 
         empty = Dataset(
@@ -59,25 +99,23 @@ class TestJOCLPipeline:
             ppdb=small_dataset.ppdb,
             gold=EvaluationGold.from_triples([]),
         )
-        result = JOCLPipeline.from_dataset(empty, fast_config).run()
-        assert not result.trained
-        assert len(result.output.np_clusters) == 0
-        assert result.output.entity_links == {}
-        # Historical shape: an empty graph counts as converged.
-        assert result.output.converged
-        assert result.output.iterations == 1
+        engine = empty.engine("test", config=fast_config)
+        with pytest.raises(EngineStateError, match="empty"):
+            engine.run_joint()
 
-    def test_ablation_order(self, small_dataset, fast_config):
+    def test_trained_run_beats_trivial_floor(self, full_run):
+        np_row, entity_row, trained = full_run
+        assert trained
+        assert np_row.average_f1 > 0.5
+        assert entity_row.accuracy > 0.5
+
+    def test_ablation_order(self, small_dataset, fast_config, full_run):
         """Table 4 shape: full JOCL >= each single-task variant."""
-        full = JOCLPipeline.from_dataset(small_dataset, fast_config).run()
-        cano = JOCLPipeline.from_dataset(
-            small_dataset, jocl_cano_config(fast_config)
-        ).run()
-        link = JOCLPipeline.from_dataset(
-            small_dataset, jocl_link_config(fast_config)
-        ).run()
-        assert full.np_report.average_f1 >= cano.np_report.average_f1 - 1e-9
-        assert full.entity_accuracy >= link.entity_accuracy - 0.02
+        np_row, entity_row, _trained = full_run
+        cano_np, _, _ = _run_jocl(small_dataset, jocl_cano_config(fast_config))
+        _, link_entity, _ = _run_jocl(small_dataset, jocl_link_config(fast_config))
+        assert np_row.average_f1 >= cano_np.average_f1 - 1e-9
+        assert entity_row.accuracy >= link_entity.accuracy - 0.02
 
 
 class TestExperimentHarness:

@@ -25,20 +25,16 @@ from repro.datasets import ShardedOKBConfig, generate_sharded_reverb45k
 from repro.factorgraph.graph import FactorGraph, FactorTemplate, Variable
 from repro.factorgraph.lbp import LBPSettings, LoopyBP, merge_results
 from repro.runtime import (
+    IncrementalRuntime,
     InferenceTask,
-    ParallelRuntime,
     PartitionedRuntime,
     SerialRuntime,
 )
 
 CONFIG = JOCLConfig(lbp_iterations=15)
 
-RUNTIMES = [
-    SerialRuntime(),
-    PartitionedRuntime(),
-    ParallelRuntime(max_workers=2),
-    ParallelRuntime(max_workers=4),
-]
+#: Fresh runtime per use — IncrementalRuntime is stateful.
+RUNTIMES = [SerialRuntime, PartitionedRuntime, IncrementalRuntime]
 
 
 @pytest.fixture(scope="module")
@@ -99,30 +95,23 @@ class TestContract:
         assert sizes == sorted(sizes, reverse=True)
 
     def test_profile_reports_execution_shape(self, islands_graph):
-        outcome = ParallelRuntime(max_workers=3).run(
-            InferenceTask(graph=islands_graph)
-        )
+        outcome = PartitionedRuntime().run(InferenceTask(graph=islands_graph))
         profile = outcome.profile
-        assert profile.runtime == "parallel"
+        assert profile.runtime == "partitioned"
         assert profile.n_components == 4
         assert profile.component_sizes == (3, 3, 3, 1)
         assert len(profile.component_iterations) == 4
-        assert profile.max_workers == 3
-        assert profile.backend == "thread"
         assert profile.converged
         assert profile.wall_time_s >= 0.0
         assert profile.iterations == max(profile.component_iterations)
-
-    def test_serial_profile_has_no_backend(self, islands_graph):
-        outcome = SerialRuntime().run(InferenceTask(graph=islands_graph))
-        assert outcome.profile.backend is None
+        assert profile.recomputed_components == 4
 
     def test_evidence_clamped_per_component(self, islands_graph):
         """Evidence is filtered to each unit and matches whole-graph LBP."""
         evidence = {"a1": 1, "c3": 0}
         whole = LoopyBP(islands_graph, max_iterations=40).run(evidence)
         for runtime in RUNTIMES:
-            merged = runtime.run(
+            merged = runtime().run(
                 InferenceTask(
                     graph=islands_graph,
                     settings=LBPSettings(max_iterations=40),
@@ -140,17 +129,11 @@ class TestContract:
         empty = FactorGraph()
         baseline = SerialRuntime().run(InferenceTask(graph=empty))
         for runtime in RUNTIMES[1:]:
-            outcome = runtime.run(InferenceTask(graph=empty))
+            outcome = runtime().run(InferenceTask(graph=empty))
             assert outcome.result.marginals == {}
             assert outcome.result.iterations == baseline.result.iterations
             assert outcome.result.converged == baseline.result.converged
             assert outcome.profile.n_components == 1
-
-    def test_parallel_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            ParallelRuntime(max_workers=0)
-        with pytest.raises(ValueError):
-            ParallelRuntime(backend="gpu")
 
     def test_with_runtime_rejects_non_runtime(self):
         with pytest.raises(EngineBuildError):
@@ -181,13 +164,13 @@ class TestContract:
 
 
 # ----------------------------------------------------------------------
-# Equivalence: serial == partitioned == parallel
+# Equivalence: serial == partitioned == incremental
 # ----------------------------------------------------------------------
 class TestEquivalence:
     def test_marginals_equal_whole_graph_on_islands(self, islands_graph):
         whole = LoopyBP(islands_graph, max_iterations=40).run()
         for runtime in RUNTIMES[1:]:
-            merged = runtime.run(
+            merged = runtime().run(
                 InferenceTask(
                     graph=islands_graph,
                     settings=LBPSettings(max_iterations=40),
@@ -203,29 +186,22 @@ class TestEquivalence:
     def test_reports_byte_identical_on_reverb(self, small_side, runtime):
         """The acceptance bar: identical wire payloads vs SerialRuntime."""
         baseline = _engine(small_side, SerialRuntime()).run_joint()
-        report = _engine(small_side, runtime).run_joint()
+        report = _engine(small_side, runtime()).run_joint()
         assert report == baseline
         assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(
             baseline.to_dict(), sort_keys=True
         )
 
     def test_reports_identical_on_sharded_multicomponent(self, sharded_side):
-        reports = [_engine(sharded_side, rt).run_joint() for rt in RUNTIMES]
+        reports = [_engine(sharded_side, rt()).run_joint() for rt in RUNTIMES]
         assert reports[1].profile.n_components >= 3  # truly multi-component
         payloads = {
             json.dumps(report.to_dict(), sort_keys=True) for report in reports
         }
         assert len(payloads) == 1
 
-    def test_process_backend_identical(self, sharded_side):
-        baseline = _engine(sharded_side, SerialRuntime()).run_joint()
-        report = _engine(
-            sharded_side, ParallelRuntime(max_workers=2, backend="process")
-        ).run_joint()
-        assert report == baseline
-
-    def test_parallel_merge_is_deterministic(self, sharded_side):
-        runtime = ParallelRuntime(max_workers=4)
+    def test_partitioned_merge_is_deterministic(self, sharded_side):
+        runtime = PartitionedRuntime()
         first = _engine(sharded_side, runtime).run_joint()
         second = _engine(sharded_side, runtime).run_joint()
         assert first.to_dict(include_profile=False) == second.to_dict(
@@ -246,20 +222,25 @@ class TestEquivalence:
 # ----------------------------------------------------------------------
 class TestProfileSerialization:
     def test_round_trip(self, small_side):
-        report = _engine(small_side, ParallelRuntime(max_workers=2)).run_joint()
+        report = _engine(small_side, PartitionedRuntime()).run_joint()
         profile = report.profile
         assert profile is not None
         assert ExecutionProfile.from_dict(profile.to_dict()) == profile
+        # 1.x payloads carried the thread-pool fields; 2.x writes none
+        # but still parses them.
+        assert "max_workers" not in profile.to_dict()
+        legacy = {**profile.to_dict(), "max_workers": 4, "backend": "thread"}
+        assert ExecutionProfile.from_dict(legacy) == profile
 
     def test_report_payload_excludes_profile_by_default(self, small_side):
-        report = _engine(small_side, ParallelRuntime(max_workers=2)).run_joint()
+        report = _engine(small_side, PartitionedRuntime()).run_joint()
         assert "profile" not in report.to_dict()
         restored = EngineReport.from_dict(report.to_dict())
         assert restored == report
         assert restored.profile is None
 
     def test_report_payload_includes_profile_on_request(self, small_side):
-        report = _engine(small_side, ParallelRuntime(max_workers=2)).run_joint()
+        report = _engine(small_side, PartitionedRuntime()).run_joint()
         payload = json.loads(json.dumps(report.to_dict(include_profile=True)))
         restored = EngineReport.from_dict(payload)
         assert restored == report
@@ -297,7 +278,7 @@ class TestEngineIntegration:
         assert engine.last_profile().runtime == "serial"
 
     def test_resolve_many_matches_per_mention_loop(self, small_dataset, small_side):
-        engine = _engine(small_side, ParallelRuntime(max_workers=2))
+        engine = _engine(small_side, PartitionedRuntime())
         mentions = [triple.subject for triple in small_dataset.test_triples[:12]]
         assert engine.resolve_many(mentions) == [
             engine.resolve(mention) for mention in mentions
@@ -372,6 +353,13 @@ class TestExecutorLifecycle:
             if thread.ident not in baseline and thread.is_alive()
         ]
 
+    def test_scatter_rejects_bad_max_workers(self):
+        from repro.runtime.pool import scatter
+
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_workers"):
+                scatter([lambda: 1, lambda: 2], max_workers=bad)
+
     def test_scatter_propagates_first_failure_in_submission_order(self):
         from repro.runtime.pool import scatter
 
@@ -430,29 +418,3 @@ class TestExecutorLifecycle:
             scatter(tasks, max_workers=2)
         assert ran  # work had started before the failure surfaced
         assert len(ran) < 100  # ... and the queued remainder was cancelled
-
-    def test_parallel_runtime_failure_shuts_down_and_recovers(
-        self, islands_graph, monkeypatch
-    ):
-        import threading
-
-        import repro.runtime.parallel as parallel_mod
-
-        real_run_unit = parallel_mod._run_unit
-
-        def injected_failure(payload):
-            raise RuntimeError("injected unit failure")
-
-        monkeypatch.setattr(parallel_mod, "_run_unit", injected_failure)
-        runtime = ParallelRuntime(max_workers=3)
-        baseline = {thread.ident for thread in threading.enumerate()}
-        with pytest.raises(RuntimeError, match="injected unit failure"):
-            runtime.run(InferenceTask(graph=islands_graph))
-        assert self._leaked_since(baseline) == []
-
-        # The runtime instance stays serviceable: pools are per-run, so
-        # a failed run must not poison the next one.
-        monkeypatch.setattr(parallel_mod, "_run_unit", real_run_unit)
-        outcome = runtime.run(InferenceTask(graph=islands_graph))
-        assert outcome.profile.n_components == 4
-        assert self._leaked_since(baseline) == []

@@ -9,6 +9,8 @@ reuses clean components (``ExecutionProfile.reused_components > 0``).
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import JOCLEngine
 from repro.core import JOCLConfig
@@ -20,7 +22,6 @@ from repro.factorgraph.partition import dirty_components
 from repro.okb.triples import OIETriple
 from repro.runtime import (
     IncrementalRuntime,
-    ParallelRuntime,
     PartitionedRuntime,
     SerialRuntime,
 )
@@ -32,7 +33,6 @@ CONFIG = JOCLConfig(lbp_iterations=15)
 RUNTIME_FACTORIES = {
     "serial": SerialRuntime,
     "partitioned": PartitionedRuntime,
-    "parallel-w2": lambda: ParallelRuntime(max_workers=2),
     "incremental": IncrementalRuntime,
     "incremental-warm": lambda: IncrementalRuntime(warm_start=True),
 }
@@ -125,6 +125,114 @@ class TestEquivalenceMatrix:
             assert _decisions(engine.run_joint()) == _decisions(
                 _cold_report(raw, triples)
             )
+
+
+# ----------------------------------------------------------------------
+# Property: any batching of the arrivals == cold runs over the union
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def small_stream():
+    """A small world whose raw arrivals grow the vocabulary."""
+    return generate_streaming_ingest(
+        StreamingIngestConfig(
+            n_shards=3,
+            triples_per_shard=12,
+            ingest_fraction=0.3,
+            arrivals="raw",
+            seed=5,
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def small_stream_cold(small_stream):
+    """Cold serial and partitioned decisions over the whole stream."""
+    side = small_stream.side_information(small_stream.all_triples)
+    decisions = {}
+    for runtime in (SerialRuntime(), PartitionedRuntime()):
+        engine = (
+            JOCLEngine.builder()
+            .with_side_information(side)
+            .with_config(CONFIG)
+            .with_runtime(runtime)
+            .build()
+        )
+        decisions[runtime.name] = _decisions(engine.run_joint())
+    return decisions
+
+
+class TestEquivalenceProperty:
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_any_batching_equals_cold_union(
+        self, small_stream, small_stream_cold, data
+    ):
+        """Split the arrivals into ingest batches at random cut points,
+        optionally decoding after every batch: the incremental engine's
+        final decisions equal cold serial and partitioned runs."""
+        arrivals = [triple for batch in small_stream.batches for triple in batch]
+        cuts = data.draw(
+            st.lists(
+                st.booleans(),
+                min_size=len(arrivals) - 1,
+                max_size=len(arrivals) - 1,
+            ),
+            label="cuts",
+        )
+        infer_between = data.draw(st.booleans(), label="infer_between")
+        batches = [[arrivals[0]]]
+        for triple, cut in zip(arrivals[1:], cuts, strict=True):
+            if cut:
+                batches.append([])
+            batches[-1].append(triple)
+        engine = small_stream.engine(CONFIG, IncrementalRuntime())
+        engine.run_joint()
+        for batch in batches:
+            engine.ingest(batch)
+            if infer_between:
+                engine.run_joint()
+        assert small_stream_cold["serial"] == small_stream_cold["partitioned"]
+        assert _decisions(engine.run_joint()) == small_stream_cold["serial"]
+
+
+# ----------------------------------------------------------------------
+# Message capture: messages feed warm starts only
+# ----------------------------------------------------------------------
+class TestMessageCapture:
+    @staticmethod
+    def _cached_messages(state):
+        return [
+            entry["result"]["messages"]
+            for entry in state["run_state"]["components"]
+        ]
+
+    def test_default_runtime_state_carries_no_messages(self, workload):
+        runtime = IncrementalRuntime()
+        workload.engine(CONFIG, runtime).run_joint()
+        assert not runtime.keep_messages
+        messages = self._cached_messages(runtime.to_state())
+        assert messages and all(entry is None for entry in messages)
+
+    def test_warm_runtime_keeps_and_round_trips_messages(self, workload):
+        runtime = IncrementalRuntime(warm_start=True)
+        workload.engine(CONFIG, runtime).run_joint()
+        assert runtime.keep_messages
+        state = json.loads(json.dumps(runtime.to_state()))
+        messages = self._cached_messages(state)
+        assert messages and all(entry is not None for entry in messages)
+        restored = IncrementalRuntime.from_state(state)
+        assert json.dumps(restored.to_state(), sort_keys=True) == json.dumps(
+            state, sort_keys=True
+        )
+
+    def test_cold_restore_drops_messages_of_older_checkpoints(self, workload):
+        """1.x saved messages for every incremental runtime."""
+        runtime = IncrementalRuntime(warm_start=True)
+        workload.engine(CONFIG, runtime).run_joint()
+        legacy = {**runtime.to_state(), "warm_start": False}
+        restored = IncrementalRuntime.from_state(legacy)
+        messages = self._cached_messages(restored.to_state())
+        assert all(entry is None for entry in messages)
 
 
 # ----------------------------------------------------------------------
